@@ -4,6 +4,11 @@ A cell is addressed by ``(group_key, cell_key)`` where ``group_key`` holds
 the q global-dimension values and ``cell_key`` the n pattern-dimension
 values.  Cells with no assignment are simply absent (count 0), matching the
 paper's observation that S-cuboids are typically very sparse.
+
+An S-cuboid is immutable once built: no caller changes ``cells`` after
+construction (every operation, derivation and merge builds a new cell
+dict).  That is what lets :meth:`SCuboid.ordered_keys` sort the keys
+once and serve every later iteration and page from the same order.
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ class SCuboid:
         cells: Dict[Tuple[GroupKey, CellKey], CellValues],
     ):
         self.spec = spec
+        #: never mutated after construction (see the module docstring)
         self.cells = cells
+        self._order: Optional[List[Tuple[GroupKey, CellKey]]] = None
 
     # ------------------------------------------------------------------
     # Basic access
@@ -35,9 +42,23 @@ class SCuboid:
         """Number of non-empty cells."""
         return len(self.cells)
 
+    def ordered_keys(self) -> List[Tuple[GroupKey, CellKey]]:
+        """Every cell key in canonical (``repr``-sorted) order.
+
+        Sorted on first use and memoized, so iteration and pagination
+        after the first pay no sort.  The list is shared: do not mutate
+        it.  Two threads racing on the first call both sort and store
+        equal lists, so no lock is needed.
+        """
+        order = self._order
+        if order is None:
+            order = self._order = sorted(self.cells, key=repr)
+        return order
+
     def __iter__(self) -> Iterator[Tuple[GroupKey, CellKey, CellValues]]:
-        for (group_key, cell_key) in sorted(self.cells, key=repr):
-            yield group_key, cell_key, self.cells[(group_key, cell_key)]
+        cells = self.cells
+        for key in self.ordered_keys():
+            yield key[0], key[1], cells[key]
 
     def value(
         self,
@@ -152,7 +173,7 @@ class SCuboid:
                 (g, c) for g, c, __ in self.top_cells(limit or len(self.cells))
             ]
         else:
-            keys = sorted(self.cells, key=repr)[: limit or None]
+            keys = self.ordered_keys()[: limit or None]
         body = [
             tuple(g) + tuple(c) + tuple(self.cells[(g, c)].get(n) for n in agg_names)
             for g, c in keys
@@ -185,7 +206,7 @@ class SCuboid:
         if sort_by_count:
             keys = [(g, c) for g, c, __ in self.top_cells(len(self.cells))]
         else:
-            keys = sorted(self.cells, key=repr)
+            keys = self.ordered_keys()
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(self.header())

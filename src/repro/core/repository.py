@@ -9,10 +9,15 @@ query) return instantly — Section 4.2.2's ``Qc`` example.
 Two replacement policies are available:
 
 * ``"lru"`` — classic least-recently-used (the paper's suggestion).
-* ``"benefit"`` — benefit-weighted: the victim is the entry with the
-  lowest ``cost_seconds * (1 + hits) / bytes``, i.e. the cuboid that is
-  cheapest to recompute per byte it occupies, given how often it has
-  actually been reused.  Ties fall back to LRU order.
+* ``"benefit"`` — benefit-weighted and aged, GreedyDual-Size style
+  (Cao & Irani 1997).  An entry's priority is ``L + cost_seconds *
+  (1 + hits) / bytes``, set when it is stored and refreshed on every
+  hit; the victim is the entry with the lowest priority, and ``L`` (the
+  inflation floor) rises to each victim's priority.  So a cuboid that is
+  cheap to recompute per byte goes first, but one that has not been
+  touched for a while ages out even if it was once hit often.  The entry
+  being stored is never its own victim (unless it alone overflows the
+  byte budget).  Ties fall back to LRU order.
 
 Entries remember the byte estimate taken at insert time, so accounting
 stays exact even if a cached cuboid's cell dict is later mutated in
@@ -64,13 +69,19 @@ def estimate_cells_bytes(n_dims: int, n_aggregates: int, n_cells: int) -> int:
 class _Entry:
     """Repository slot: the cuboid plus its replacement-policy metadata."""
 
-    __slots__ = ("cuboid", "bytes", "cost_seconds", "hits")
+    __slots__ = ("cuboid", "bytes", "cost_seconds", "hits", "priority")
 
     def __init__(self, cuboid: SCuboid, nbytes: int, cost_seconds: float):
         self.cuboid = cuboid
         self.bytes = nbytes
         self.cost_seconds = cost_seconds
         self.hits = 0
+        #: aged benefit (policy "benefit"); set by the repository
+        self.priority = 0.0
+
+    def benefit(self) -> float:
+        """Recompute cost retained per byte, weighted by reuse."""
+        return self.cost_seconds * (1.0 + self.hits) / max(1, self.bytes)
 
 
 class CuboidRepository:
@@ -100,6 +111,8 @@ class CuboidRepository:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
         self._bytes = 0
+        #: the benefit policy's inflation floor L: the last victim's priority
+        self._floor = 0.0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -112,6 +125,7 @@ class CuboidRepository:
                 return None
             self._entries.move_to_end(key)
             entry.hits += 1
+            entry.priority = self._floor + entry.benefit()
             self.hits += 1
             return entry.cuboid
 
@@ -124,34 +138,39 @@ class CuboidRepository:
                 # estimate of the (possibly mutated) old object — re-estimating
                 # here is how overwrites used to corrupt the byte ledger.
                 self._bytes -= old.bytes
-            self._entries[key] = _Entry(cuboid, nbytes, cost_seconds)
+            entry = _Entry(cuboid, nbytes, cost_seconds)
+            self._entries[key] = entry
             self._bytes += nbytes
-            self._evict()
+            self._evict(key)
+            entry.priority = self._floor + entry.benefit()
 
-    def _evict(self) -> None:
+    def _evict(self, incoming: Hashable) -> None:
         # caller must hold self._lock
         while self._entries and (
             len(self._entries) > self.capacity or self._bytes > self.byte_budget
         ):
-            victim = self._pick_victim()
+            victim = self._pick_victim(incoming)
             entry = self._entries.pop(victim)
             self._bytes -= entry.bytes
             self.evictions += 1
+            self._floor = max(self._floor, entry.priority)
 
-    def _pick_victim(self) -> Hashable:
-        # caller must hold self._lock; self._entries is non-empty
-        if self.policy == "lru":
+    def _pick_victim(self, incoming: Hashable) -> Hashable:
+        # caller must hold self._lock; self._entries is non-empty, and
+        # *incoming* (the key just stored) is its newest entry
+        if self.policy == "lru" or len(self._entries) == 1:
             return next(iter(self._entries))
-        # Benefit-weighted: evict the entry whose retained recompute cost
-        # per byte is smallest.  Strict ``<`` keeps ties in LRU order
+        # Benefit-weighted: evict the lowest aged priority among the
+        # entries already stored.  Strict ``<`` keeps ties in LRU order
         # (OrderedDict iterates coldest-first).
         best_key = None
-        best_score = None
+        best_priority = None
         for key, entry in self._entries.items():
-            score = (entry.cost_seconds * (1.0 + entry.hits)) / max(1, entry.bytes)
-            if best_score is None or score < best_score:
+            if key == incoming:
+                continue
+            if best_priority is None or entry.priority < best_priority:
                 best_key = key
-                best_score = score
+                best_priority = entry.priority
         return best_key
 
     def items(self) -> List[Tuple[Hashable, SCuboid, float]]:
@@ -185,6 +204,7 @@ class CuboidRepository:
         with self._lock:
             self._entries.clear()
             self._bytes = 0
+            self._floor = 0.0
 
     @property
     def bytes_used(self) -> int:

@@ -15,7 +15,12 @@ zero third-party dependencies:
   recorded trace — 404 when no recorder is attached.
 
 The server runs on a daemon thread (`ThreadingHTTPServer`, one handler
-thread per request) and binds to loopback by default.  Port 0 binds an
+thread per request) and binds to loopback by default.  Its handlers
+derive from :class:`SingleWriteHandler`, shared with the query server
+(:mod:`repro.serve.app`): ``TCP_NODELAY`` is set on every accepted
+connection and :func:`respond` sends a whole response (status line,
+headers and body) in one socket write, so no response waits on the
+client's delayed acknowledgement of its first half.  Port 0 binds an
 ephemeral port — ``server.port`` reports the real one, which is how
 tests avoid collisions.
 
@@ -32,6 +37,7 @@ or let the service own it::
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -46,6 +52,88 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: back on that socket, so handlers drop the response instead of crashing
 #: the handler thread (and never try to write a 500 to the dead socket)
 CLIENT_DISCONNECT_ERRORS = (BrokenPipeError, ConnectionResetError)
+
+
+class ResponseBuffer(io.BufferedIOBase):
+    """A handler's ``wfile`` that sends nothing until :meth:`flush`.
+
+    Every write is held; ``flush`` hands them to the socket as one
+    ``sendall``.  A response written as status line, headers and body
+    then leaves in one send, whatever its size.  A disconnect raises
+    from ``flush``, so whoever flushes catches it.
+    """
+
+    def __init__(self, sock):
+        super().__init__()
+        self._sock = sock
+        self._parts: list = []
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self._parts.append(data)
+        return len(data)
+
+    def flush(self) -> None:
+        if self._parts:
+            data = b"".join(self._parts)
+            # Cleared first: a send that fails must not be retried by
+            # the stdlib's own flush when the connection is torn down.
+            self._parts.clear()
+            self._sock.sendall(data)
+
+
+class SingleWriteHandler(BaseHTTPRequestHandler):
+    """Request handler base: no Nagle delay, one send per response."""
+
+    #: TCP_NODELAY on the accepted socket (see StreamRequestHandler)
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        super().setup()
+        self.wfile = ResponseBuffer(self.connection)
+
+    def handle_expect_100(self) -> bool:
+        # The stdlib writes "100 Continue" without flushing; send it now,
+        # or the client would wait for it until the final response.
+        try:
+            accepted = super().handle_expect_100()
+            self.wfile.flush()
+        except CLIENT_DISCONNECT_ERRORS:
+            self.close_connection = True
+            return False
+        return accepted
+
+    def log_message(self, *args) -> None:
+        pass  # callers log structured events of their own
+
+
+def respond(
+    request: BaseHTTPRequestHandler,
+    status: int,
+    content_type: str,
+    body: bytes,
+) -> int:
+    """Send one complete response; returns *status*, or 0 on a hang-up.
+
+    Status line, headers and body are written to the handler's buffered
+    ``wfile`` and flushed once, inside this call: a client that closed
+    the connection before or during the send is dropped here, and never
+    retried on the dead socket (that would only re-raise and kill the
+    handler thread).
+    """
+    try:
+        request.send_response(status)
+        request.send_header("Content-Type", content_type)
+        request.send_header("Content-Length", str(len(body)))
+        request.end_headers()
+        request.wfile.write(body)
+        request.wfile.flush()
+    except CLIENT_DISCONNECT_ERRORS:
+        request.close_connection = True
+        return 0
+    return status
 
 
 class MetricsServer:
@@ -77,12 +165,9 @@ class MetricsServer:
             return self
         owner = self
 
-        class Handler(BaseHTTPRequestHandler):
+        class Handler(SingleWriteHandler):
             def do_GET(self) -> None:  # noqa: N802 - stdlib naming
                 owner._handle(self)
-
-            def log_message(self, *args) -> None:
-                pass  # scrapes every few seconds would spam stderr
 
         self._httpd = ThreadingHTTPServer((self.host, self.port), Handler)
         self._httpd.daemon_threads = True
@@ -126,7 +211,7 @@ class MetricsServer:
         try:
             if path == "/metrics":
                 body = self.registry.render_prometheus().encode("utf-8")
-                self._respond(request, 200, PROMETHEUS_CONTENT_TYPE, body)
+                respond(request, 200, PROMETHEUS_CONTENT_TYPE, body)
             elif path == "/healthz":
                 healthy = (
                     self.health_callback() if self.health_callback else True
@@ -135,7 +220,7 @@ class MetricsServer:
                 body = json.dumps(
                     {"status": "ok" if healthy else "unhealthy"}
                 ).encode("utf-8")
-                self._respond(request, status, "application/json", body)
+                respond(request, status, "application/json", body)
             elif path == "/varz":
                 doc = (
                     self.varz_callback()
@@ -143,7 +228,7 @@ class MetricsServer:
                     else self.registry.snapshot()
                 )
                 body = json.dumps(doc, default=repr).encode("utf-8")
-                self._respond(request, 200, "application/json", body)
+                respond(request, 200, "application/json", body)
             elif path == "/debug/traces" or path.startswith("/debug/traces/"):
                 self._handle_traces(request, path)
             else:
@@ -152,7 +237,7 @@ class MetricsServer:
                      "paths": ["/metrics", "/healthz", "/varz",
                                "/debug/traces", "/debug/traces/<id>"]}
                 ).encode("utf-8")
-                self._respond(request, 404, "application/json", body)
+                respond(request, 404, "application/json", body)
         except CLIENT_DISCONNECT_ERRORS:
             # The client went away mid-write; there is no socket left to
             # answer on, so drop the response silently.
@@ -161,7 +246,7 @@ class MetricsServer:
             body = json.dumps(
                 {"error": f"{type(error).__name__}: {error}"}
             ).encode("utf-8")
-            self._respond(request, 500, "application/json", body)
+            respond(request, 500, "application/json", body)
 
     def _handle_traces(
         self, request: BaseHTTPRequestHandler, path: str
@@ -171,7 +256,7 @@ class MetricsServer:
             body = json.dumps(
                 {"error": "flight recorder not enabled"}
             ).encode("utf-8")
-            self._respond(request, 404, "application/json", body)
+            respond(request, 404, "application/json", body)
             return
         if path == "/debug/traces":
             query = request.path.split("?", 1)
@@ -186,7 +271,7 @@ class MetricsServer:
                             body = json.dumps(
                                 {"error": f"bad limit {value!r}"}
                             ).encode("utf-8")
-                            self._respond(
+                            respond(
                                 request, 400, "application/json", body
                             )
                             return
@@ -197,11 +282,11 @@ class MetricsServer:
                 body = json.dumps(
                     {"error": f"bad limit {limit!r}: must be >= 1"}
                 ).encode("utf-8")
-                self._respond(request, 400, "application/json", body)
+                respond(request, 400, "application/json", body)
                 return
             doc = {"traces": self.recorder.recent(limit=limit)}
             body = json.dumps(doc, default=repr).encode("utf-8")
-            self._respond(request, 200, "application/json", body)
+            respond(request, 200, "application/json", body)
             return
         entry_id = path[len("/debug/traces/"):]
         entry = self.recorder.get(entry_id) if entry_id else None
@@ -209,29 +294,10 @@ class MetricsServer:
             body = json.dumps(
                 {"error": f"no recorded trace {entry_id!r}"}
             ).encode("utf-8")
-            self._respond(request, 404, "application/json", body)
+            respond(request, 404, "application/json", body)
             return
         body = json.dumps(entry, default=repr).encode("utf-8")
-        self._respond(request, 200, "application/json", body)
-
-    @staticmethod
-    def _respond(
-        request: BaseHTTPRequestHandler,
-        status: int,
-        content_type: str,
-        body: bytes,
-    ) -> None:
-        try:
-            request.send_response(status)
-            request.send_header("Content-Type", content_type)
-            request.send_header("Content-Length", str(len(body)))
-            request.end_headers()
-            request.wfile.write(body)
-        except CLIENT_DISCONNECT_ERRORS:
-            # The client closed the connection before (or while) the
-            # response was written; drop it — retrying on the dead socket
-            # would only re-raise and kill the handler thread.
-            pass
+        respond(request, 200, "application/json", body)
 
     def __repr__(self) -> str:
         state = "serving" if self.running else "stopped"

@@ -4,7 +4,10 @@
 ``ThreadingHTTPServer`` (one daemon handler thread per connection, same
 plumbing as :class:`repro.obs.httpd.MetricsServer`, whose telemetry
 routes are mounted unchanged) speaking the textual query language on the
-way in and JSON on the way out.
+way in and JSON on the way out.  Both servers share
+:class:`~repro.obs.httpd.SingleWriteHandler` and
+:func:`~repro.obs.httpd.respond`: ``TCP_NODELAY`` on every connection,
+one socket write per JSON response and one per stream frame.
 
 Routes (see ``docs/serving.md`` for the full reference):
 
@@ -48,7 +51,12 @@ from repro.errors import (
     SOLAPError,
     SpecError,
 )
-from repro.obs.httpd import CLIENT_DISCONNECT_ERRORS, MetricsServer
+from repro.obs.httpd import (
+    CLIENT_DISCONNECT_ERRORS,
+    MetricsServer,
+    SingleWriteHandler,
+    respond,
+)
 from repro.obs.spans import span
 from repro.ql import format_spec, parse_query
 from repro.serve import codecs
@@ -133,7 +141,7 @@ class SolapServer:
             return self
         owner = self
 
-        class Handler(BaseHTTPRequestHandler):
+        class Handler(SingleWriteHandler):
             # HTTP/1.1 enables chunked transfer encoding (streams) and
             # connection keep-alive for polling clients.
             protocol_version = "HTTP/1.1"
@@ -146,9 +154,6 @@ class SolapServer:
 
             def do_DELETE(self) -> None:  # noqa: N802
                 owner._dispatch(self, "DELETE")
-
-            def log_message(self, *args) -> None:
-                pass  # the structured http_request log event covers this
 
         self._httpd = ThreadingHTTPServer((self.host, self.port), Handler)
         self._httpd.daemon_threads = True
@@ -435,6 +440,8 @@ class SolapServer:
         except StopIteration:
             first = None
         try:
+            # The headers stay in the handler's buffer and leave with the
+            # first frame, in one send.
             request.send_response(200)
             request.send_header("Content-Type", NDJSON_CONTENT_TYPE)
             request.send_header("Transfer-Encoding", "chunked")
@@ -457,12 +464,16 @@ class SolapServer:
         return 200
 
     def _write_chunk(self, request: BaseHTTPRequestHandler, doc: dict) -> None:
-        """One chunked-encoding frame: a single JSON line."""
-        line = codecs.dumps(doc) + b"\n"
-        request.wfile.write(f"{len(line):x}\r\n".encode("ascii"))
-        request.wfile.write(line)
-        request.wfile.write(b"\r\n")
-        request.wfile.flush()
+        """One chunked-encoding frame, a single JSON line, in one write.
+
+        Each frame is sent as soon as it is encoded, except the final
+        one: it waits for the stream's end so that it and the last chunk
+        leave together, after the service has finished its accounting.
+        """
+        line = codecs.dumps(doc)
+        request.wfile.write(b"%x\r\n%s\n\r\n" % (len(line) + 1, line))
+        if not doc["is_final"]:
+            request.wfile.flush()
         self._frames.inc()
 
     # ------------------------------------------------------------------
@@ -500,18 +511,7 @@ class SolapServer:
     def _send_json(
         self, request: BaseHTTPRequestHandler, status: int, doc: object
     ) -> int:
-        body = codecs.dumps(doc)
-        try:
-            request.send_response(status)
-            request.send_header("Content-Type", "application/json")
-            request.send_header("Content-Length", str(len(body)))
-            request.end_headers()
-            request.wfile.write(body)
-        except CLIENT_DISCONNECT_ERRORS:
-            # Same contract as MetricsServer._respond: nothing left to
-            # answer on, so the response is dropped, not retried.
-            return 0
-        return status
+        return respond(request, status, "application/json", codecs.dumps(doc))
 
     def _send_error(
         self,

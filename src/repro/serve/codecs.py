@@ -10,7 +10,9 @@ every document shape crossing the wire so the handlers in
   emitted in the cuboid's canonical iteration order (sorted by ``repr``),
   which is what makes offset-based pagination cursors stable;
 * **pages** — an offset/limit window over the canonical cell order, with
-  a ``next_offset`` cursor (``null`` on the last page);
+  a ``next_offset`` cursor (``null`` on the last page).  The order is
+  sorted once per cuboid (:meth:`~repro.core.cuboid.SCuboid.ordered_keys`)
+  and only the window's cells are encoded, so a poll costs O(limit);
 * **estimates** — one :class:`~repro.extensions.online_agg.OnlineEstimate`
   per streamed frame: processed fraction, the exact partial cells, and a
   linear scale-up ``estimated`` map for COUNT-family aggregates on
@@ -31,6 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.cuboid import SCuboid
 from repro.extensions.online_agg import OnlineEstimate
+from repro.obs.spans import span
 
 #: pagination guardrail: one page can never exceed this many cells
 MAX_PAGE_LIMIT = 10_000
@@ -94,17 +97,23 @@ def page_cells(
         raise ValueError(
             f"bad limit {limit!r}: must be in [1, {MAX_PAGE_LIMIT}]"
         )
-    cells = encode_cells(cuboid)
-    window = cells[offset : offset + limit]
-    next_offset = offset + limit if offset + limit < len(cells) else None
+    with span("serve.page", offset=offset, limit=limit) as page_span:
+        keys = cuboid.ordered_keys()
+        cells = cuboid.cells
+        window = [
+            encode_cell(key[0], key[1], cells[key])
+            for key in keys[offset : offset + limit]
+        ]
+        total = len(keys)
+        page_span.update(total_cells=total, cells_sent=len(window))
     return {
         "header": encode_header(cuboid),
         "cells": window,
         "page": {
             "offset": offset,
             "limit": limit,
-            "total_cells": len(cells),
-            "next_offset": next_offset,
+            "total_cells": total,
+            "next_offset": offset + limit if offset + limit < total else None,
         },
     }
 
@@ -131,19 +140,21 @@ def encode_estimate(estimate: OnlineEstimate) -> dict:
     frame omits it (the values *are* the answer) and is the exact cuboid,
     bit-identical to the blocking execution path.
     """
-    cells = []
     fraction = estimate.fraction
-    for group_key, cell_key, values in estimate.partial:
-        cell = encode_cell(group_key, cell_key, values)
-        if not estimate.is_final and fraction > 0:
-            scaled = {
-                name: round(float(value) / fraction, 3)
-                for name, value in values.items()
-                if name.startswith("COUNT") and value is not None
-            }
-            if scaled:
-                cell["estimated"] = scaled
-        cells.append(cell)
+    scale = not estimate.is_final and fraction > 0
+    with span("serve.encode", cells=len(estimate.partial)):
+        cells = []
+        for group_key, cell_key, values in estimate.partial:
+            cell = encode_cell(group_key, cell_key, values)
+            if scale:
+                scaled = {
+                    name: round(float(value) / fraction, 3)
+                    for name, value in values.items()
+                    if name.startswith("COUNT") and value is not None
+                }
+                if scaled:
+                    cell["estimated"] = scaled
+            cells.append(cell)
     return {
         "processed": estimate.processed,
         "total": estimate.total,

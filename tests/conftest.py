@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from repro import (
@@ -105,3 +107,34 @@ def xy_spec() -> CuboidSpec:
 def xyyx_spec() -> CuboidSpec:
     """(X, Y, Y, X) substring spec over the Figure 8 database (Q1 shape)."""
     return figure8_spec(("X", "Y", "Y", "X"))
+
+
+def record_server_sends(monkeypatch, port: int) -> list:
+    """Record every socket send made from a socket bound to *port*.
+
+    Patches ``socket.socket.send``/``sendall`` for the test; the returned
+    list fills with ``(payload, tcp_nodelay)`` per call made by the
+    server side of a loopback connection (its local port is *port*).
+    """
+    sends = []
+
+    def patched(original):
+        def send(sock, data, *args):
+            try:
+                local_port = sock.getsockname()[1]
+            except OSError:
+                local_port = None
+            if local_port == port:
+                nodelay = sock.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+                sends.append((bytes(data), bool(nodelay)))
+            return original(sock, data, *args)
+
+        return send
+
+    for name in ("send", "sendall"):
+        monkeypatch.setattr(
+            socket.socket, name, patched(getattr(socket.socket, name))
+        )
+    return sends

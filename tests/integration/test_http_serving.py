@@ -5,6 +5,7 @@ an ephemeral loopback port with stdlib ``urllib``/``http.client``/raw
 sockets — the same way the CI smoke job and external clients do.
 """
 
+import http.client
 import json
 import socket
 import struct
@@ -17,7 +18,7 @@ import pytest
 from repro.ql import format_spec, parse_query
 from repro.serve import SolapServer, codecs
 from repro.service import QueryService
-from tests.conftest import figure8_spec, make_figure8_db
+from tests.conftest import figure8_spec, make_figure8_db, record_server_sends
 
 TERMINAL = ("done", "error", "cancelled", "timeout")
 
@@ -370,3 +371,118 @@ class TestErrorMappingAndTelemetry:
         status, doc = _get(server, "/v1/stats")
         assert status == 200
         assert doc["counters"]["requests_total"] >= 1
+
+
+class TestTransport:
+    """TCP_NODELAY, one send per response and per frame, safe hang-ups."""
+
+    def test_json_responses_leave_in_one_send(self, stack, monkeypatch):
+        __, server = stack
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            conn.connect()
+            sends = record_server_sends(monkeypatch, server.port)
+            # a query-server route, then a telemetry route, on one
+            # keep-alive connection
+            for path in ("/v1/stats", "/healthz"):
+                del sends[:]
+                conn.request("GET", path)
+                response = conn.getresponse()
+                body = response.read()
+                assert response.status == 200
+                assert len(sends) == 1, [payload[:40] for payload, __ in sends]
+                payload, nodelay = sends[0]
+                assert nodelay
+                assert payload.startswith(b"HTTP/1.1 200 ")
+                assert payload.endswith(b"\r\n\r\n" + body)
+        finally:
+            conn.close()
+
+    def test_accepted_connection_sets_tcp_nodelay(self, stack, monkeypatch):
+        __, server = stack
+        sends = record_server_sends(monkeypatch, server.port)
+        status, __ = _get(server, "/healthz")
+        assert status == 200
+        assert sends and all(nodelay for __, nodelay in sends)
+
+    def test_each_stream_frame_leaves_in_one_send(self, stack, ql, monkeypatch):
+        __, server = stack
+        sends = record_server_sends(monkeypatch, server.port)
+        body = json.dumps({"ql": ql, "chunk_size": 1, "seed": 5})
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            conn.request(
+                "POST", "/v1/stream", body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            frames = [json.loads(line) for line in response]
+        finally:
+            conn.close()
+        assert len(frames) >= 3 and frames[-1]["is_final"]
+        # the headers ride with the first frame, the last chunk with the
+        # final frame: one send per frame, nothing else
+        assert len(sends) == len(frames)
+        assert sends[0][0].startswith(b"HTTP/1.1 200 ")
+        assert sends[-1][0].endswith(b"\n\r\n0\r\n\r\n")
+        for (payload, __), frame in zip(sends[1:-1], frames[1:-1]):
+            size, __, line = payload.partition(b"\r\n")
+            assert int(size, 16) == len(line) - 2
+            assert json.loads(line) == frame
+
+    def test_hang_up_during_flush_leaves_the_handler_alive(
+        self, stack, monkeypatch
+    ):
+        __, server = stack
+        errors = []
+        monkeypatch.setattr(
+            server._httpd,
+            "handle_error",
+            lambda request, address: errors.append(address),
+        )
+        original = socket.socket.sendall
+
+        def hang_up(sock, data, *args):
+            if sock.getsockname()[1] == server.port:
+                raise BrokenPipeError("client went away")
+            return original(sock, data, *args)
+
+        dropped = server._requests.labels("/v1/stats", "GET", "0")
+        before = dropped.value
+        monkeypatch.setattr(socket.socket, "sendall", hang_up)
+        sock = socket.create_connection(("127.0.0.1", server.port), timeout=10)
+        try:
+            sock.sendall(b"GET /v1/stats HTTP/1.1\r\nHost: x\r\n\r\n")
+            # the server drops the response and closes the connection
+            assert sock.recv(1024) == b""
+        finally:
+            sock.close()
+        monkeypatch.setattr(socket.socket, "sendall", original)
+        assert errors == []
+        assert dropped.value == before + 1
+        status, __ = _get(server, "/healthz")
+        assert status == 200
+
+    def test_expect_100_continue_is_sent_before_the_body(self, stack, ql):
+        # The buffered wfile must still send "100 Continue" at once:
+        # this client sends its body only after reading it.
+        __, server = stack
+        body = json.dumps({"ql": ql}).encode("utf-8")
+        sock = socket.create_connection(("127.0.0.1", server.port), timeout=10)
+        try:
+            sock.sendall(
+                b"POST /v1/sessions HTTP/1.1\r\nHost: x\r\n"
+                b"Expect: 100-continue\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
+            )
+            interim = sock.recv(1024)
+            assert interim.startswith(b"HTTP/1.1 100 Continue\r\n")
+            sock.sendall(body)
+            reply = b""
+            while b"session_id" not in reply:
+                chunk = sock.recv(65536)
+                assert chunk, reply
+                reply += chunk
+            assert reply.startswith(b"HTTP/1.1 201 ")
+        finally:
+            sock.close()

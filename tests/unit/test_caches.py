@@ -289,6 +289,39 @@ class TestBenefitWeightedEviction:
         assert "a" in repo
         assert "b" not in repo
 
+    def test_new_entry_survives_its_own_put(self):
+        # Regression: un-aged scores made a fresh entry (hits = 0) the
+        # minimum of a full repository whose entries had been reused, so
+        # every put evicted the cuboid it had just stored.
+        repo = CuboidRepository(capacity=3, policy="benefit")
+        for key in ("a", "b", "c"):
+            repo.put(key, make_cuboid(2), cost_seconds=1.0)
+            repo.get(key)
+            repo.get(key)
+        repo.put("new", make_cuboid(2), cost_seconds=1.0)
+        assert "new" in repo
+        assert len(repo) == 3
+        assert repo.evictions == 1
+
+    def test_reused_entry_ages_out_without_further_hits(self):
+        # GreedyDual-Size aging: each victim raises the floor that new
+        # entries start from, so an entry hit often long ago is
+        # eventually outranked by newer ones.
+        repo = CuboidRepository(capacity=2, policy="benefit")
+        repo.put("hot", make_cuboid(2), cost_seconds=1.0)
+        for __ in range(3):
+            repo.get("hot")
+        for i in range(6):
+            repo.put(f"n{i}", make_cuboid(2), cost_seconds=1.0)
+            assert f"n{i}" in repo
+        assert "hot" not in repo
+
+    def test_oversized_entry_is_its_own_victim_when_alone(self):
+        repo = CuboidRepository(capacity=4, byte_budget=1, policy="benefit")
+        repo.put("big", make_cuboid(2), cost_seconds=1.0)
+        assert "big" not in repo
+        assert repo.bytes_used == 0
+
     def test_lru_remains_default(self):
         repo = CuboidRepository(capacity=2)
         assert repo.policy == "lru"

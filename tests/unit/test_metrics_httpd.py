@@ -9,9 +9,9 @@ import urllib.request
 import pytest
 
 from repro import QueryService, ServiceConfig
-from repro.obs.httpd import PROMETHEUS_CONTENT_TYPE, MetricsServer
+from repro.obs.httpd import PROMETHEUS_CONTENT_TYPE, MetricsServer, respond
 from repro.obs.metrics import MetricsRegistry
-from tests.conftest import figure8_spec, make_figure8_db
+from tests.conftest import figure8_spec, make_figure8_db, record_server_sends
 
 
 def fetch(url: str):
@@ -107,6 +107,20 @@ class TestMetricsServer:
         server.stop()
 
 
+class TestTransport:
+    def test_response_leaves_in_one_send_with_nodelay(
+        self, server, monkeypatch
+    ):
+        sends = record_server_sends(monkeypatch, server.port)
+        status, __, body = fetch(server.url + "/metrics")
+        assert status == 200
+        assert len(sends) == 1
+        payload, nodelay = sends[0]
+        assert nodelay
+        assert payload.startswith(b"HTTP/1.0 200 ")
+        assert payload.endswith(b"\r\n\r\n" + body.encode("utf-8"))
+
+
 class FakeWfile:
     """A response stream whose peer has hung up: every write raises."""
 
@@ -178,9 +192,8 @@ class TestClientDisconnects:
     def test_respond_swallows_disconnect_during_headers(self):
         request = FakeDisconnectedRequest("/metrics")
         request.send_response = FakeWfile(ConnectionResetError).write
-        MetricsServer._respond(
-            request, 200, "application/json", b"{}"
-        )  # must not raise
+        # must not raise; the status 0 marks the dropped response
+        assert respond(request, 200, "application/json", b"{}") == 0
 
     def test_server_survives_early_socket_close(self, server):
         # A real socket that sends the request then resets immediately;

@@ -1,11 +1,15 @@
 """Unit tests for the HTTP serving layer's codecs, job registry and the
 service-side cancellation plumbing it leans on."""
 
+import datetime
 import threading
 
 import pytest
 
+import repro.core.cuboid as cuboid_module
+from repro.core.cuboid import SCuboid
 from repro.core.stats import QueryStats
+from repro.obs.spans import NULL_SPAN, Tracer, span
 from repro.errors import (
     QueryCancelledError,
     QueryNotFoundError,
@@ -248,6 +252,88 @@ class TestCodecs:
 
         doc = codecs.page_cells(cuboid, 0, 3)
         assert json.loads(codecs.dumps(doc)) == doc
+
+
+def big_cuboid(n_cells=5_000):
+    """A cuboid of mixed-type keys, inserted out of canonical order."""
+    spec = figure8_spec(("X", "Y"))
+    cells = {}
+    for i in reversed(range(n_cells)):
+        group = (i % 7,) if i % 2 else (f"g{i % 5}",)
+        pattern = (f"x{i % 97}", (i, datetime.date(2024, 1, 1 + i % 28)))
+        cells[(group, pattern)] = {"COUNT(*)": i, "AVG(amount)": i / 3}
+    return SCuboid(spec, cells)
+
+
+class TestPagingCost:
+    """A poll costs O(limit): one sort per cuboid, only the window encoded."""
+
+    def test_page_encodes_only_its_window(self, monkeypatch):
+        cuboid = big_cuboid()
+        calls = []
+        encode = codecs.encode_cell
+        monkeypatch.setattr(
+            codecs,
+            "encode_cell",
+            lambda *args: calls.append(1) or encode(*args),
+        )
+        page = codecs.page_cells(cuboid, offset=1234, limit=10)
+        assert len(calls) == 10
+        assert len(page["cells"]) == 10
+        assert page["page"]["total_cells"] == 5_000
+
+    def test_walking_every_page_sorts_once(self, monkeypatch):
+        cuboid = big_cuboid()
+        sorts = []
+        monkeypatch.setattr(
+            cuboid_module,
+            "sorted",
+            lambda *args, **kwargs: sorts.append(1) or sorted(*args, **kwargs),
+            raising=False,
+        )
+        offset = 0
+        while offset is not None:
+            page = codecs.page_cells(cuboid, offset=offset, limit=997)
+            offset = page["page"]["next_offset"]
+        list(cuboid)  # a repeat answer (exact repository hit) reuses it
+        assert sorts == [1]
+
+    def test_pages_are_byte_identical_to_the_full_encoding(self):
+        cuboid = big_cuboid(2_000)
+        # the canonical order, computed independently of the memo
+        full = [
+            codecs.encode_cell(g, c, cuboid.cells[(g, c)])
+            for g, c in sorted(cuboid.cells, key=repr)
+        ]
+        assert codecs.dumps(codecs.encode_cells(cuboid)) == codecs.dumps(full)
+        for limit in (1, 7, 100, 2_000):
+            offset = 0
+            while offset is not None:
+                page = codecs.page_cells(cuboid, offset=offset, limit=limit)
+                assert codecs.dumps(page["cells"]) == codecs.dumps(
+                    full[offset : offset + limit]
+                )
+                offset = page["page"]["next_offset"]
+
+    def test_page_and_encode_spans_under_a_tracer(self, service, spec):
+        cuboid = big_cuboid(50)
+        stream = service.stream_query(spec, chunk_size=1)
+        estimate = next(stream)
+        stream.close()
+        with Tracer("request") as tracer:
+            codecs.page_cells(cuboid, offset=40, limit=20)
+            codecs.encode_estimate(estimate)
+        page_span = tracer.root.find("serve.page")
+        assert page_span is not None
+        assert page_span.attrs["cells_sent"] == 10
+        assert page_span.attrs["total_cells"] == 50
+        encode_span = tracer.root.find("serve.encode")
+        assert encode_span is not None
+        assert encode_span.attrs["cells"] == len(estimate.partial)
+
+    def test_spans_are_noops_without_a_tracer(self):
+        assert span("serve.page") is NULL_SPAN
+        assert span("serve.encode") is NULL_SPAN
 
 
 # ----------------------------------------------------------------------
